@@ -221,3 +221,165 @@ fn noindex_extension() {
     let result = algo.run(&mut stream, &mut run_rng);
     assert!(rapidviz::core::is_correctly_ordered(&result.estimates, &t));
 }
+
+/// FNV-1a over 64-bit words: a compact, order-sensitive fingerprint of a
+/// run's outputs.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn float(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn result(&mut self, r: &rapidviz::core::RunResult) {
+        for &e in &r.estimates {
+            self.float(e);
+        }
+        for &s in &r.samples_per_group {
+            self.word(s);
+        }
+        self.word(r.rounds);
+        self.word(u64::from(r.truncated));
+        let trace = r.trace.as_ref().expect("trace enabled");
+        self.word(trace.rows().len() as u64);
+        for row in trace.rows() {
+            self.word(row.round);
+            for iv in &row.intervals {
+                self.float(iv.lo);
+                self.float(iv.hi);
+            }
+            for &a in &row.active {
+                self.word(u64::from(a));
+            }
+        }
+        let history = r.history.as_ref().expect("history enabled");
+        self.word(history.points().len() as u64);
+        for p in history.points() {
+            self.word(p.round);
+            self.word(p.total_samples);
+            self.word(p.active_groups as u64);
+            for &e in &p.estimates {
+                self.float(e);
+            }
+        }
+    }
+}
+
+/// Golden fixed-seed digests of the IFOCUS family: every §6 variant's
+/// estimates, per-group samples, rounds, truncation flag, trace, history
+/// and (for partial results) emission stream, over 16 seeds × both
+/// sampling modes × {plain, resolution, round-capped}. The values were
+/// captured before the variants shared one round loop; any change to the
+/// RNG stream, the deactivation order or the trace bookkeeping shows up
+/// here bit for bit.
+#[test]
+fn golden_digests_of_the_ifocus_family() {
+    use rapidviz::core::extensions::IFocusGraph;
+    use rapidviz::core::{IFocus, SamplingMode};
+
+    const MEANS: [f64; 6] = [15.0, 35.0, 48.0, 56.0, 75.0, 90.0];
+    let variants = [
+        "ifocus",
+        "values",
+        "mistakes",
+        "topt_largest",
+        "topt_smallest",
+        "graph_path",
+        "graph_grid",
+        "partial",
+    ];
+    let mut digests: Vec<Digest> = variants.iter().map(|_| Digest::new()).collect();
+    for seed in 0..16u64 {
+        for mode in [
+            SamplingMode::WithoutReplacement,
+            SamplingMode::WithReplacement,
+        ] {
+            for shape in 0..3 {
+                let base = AlgoConfig::new(100.0, 0.05)
+                    .with_mode(mode)
+                    .with_trace()
+                    .with_history_every(5);
+                let config = match shape {
+                    0 => base,
+                    1 => base.with_resolution(6.0),
+                    _ => base.with_max_rounds(40),
+                };
+                let data = two_point_groups(&MEANS, 1_500, 7_000 + seed);
+                let run_seed = 9_000 + seed * 31 + shape;
+                for (v, digest) in variants.iter().zip(&mut digests) {
+                    let mut groups = data.clone();
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(run_seed);
+                    let result = match *v {
+                        "ifocus" => IFocus::new(config.clone()).run(&mut groups, &mut rng),
+                        "values" => {
+                            IFocusValues::new(config.clone(), 20.0).run(&mut groups, &mut rng)
+                        }
+                        "mistakes" => {
+                            IFocusMistakes::new(config.clone(), 0.2).run(&mut groups, &mut rng)
+                        }
+                        "topt_largest" => {
+                            IFocusTopT::new(config.clone(), 2).run(&mut groups, &mut rng)
+                        }
+                        "topt_smallest" => {
+                            IFocusTopT::new_bottom(config.clone(), 2).run(&mut groups, &mut rng)
+                        }
+                        "graph_path" => {
+                            IFocusGraph::path(config.clone(), 6).run(&mut groups, &mut rng)
+                        }
+                        "graph_grid" => {
+                            IFocusGraph::grid(config.clone(), 2, 3).run(&mut groups, &mut rng)
+                        }
+                        _ => {
+                            let mut emissions = Vec::new();
+                            let r = IFocusPartial::new(config.clone()).run(
+                                &mut groups,
+                                &mut rng,
+                                |e| emissions.push(e),
+                            );
+                            digest.word(emissions.len() as u64);
+                            for e in &emissions {
+                                digest.word(e.group as u64);
+                                digest.word(e.label.len() as u64);
+                                for b in e.label.bytes() {
+                                    digest.word(u64::from(b));
+                                }
+                                digest.float(e.estimate);
+                                digest.word(e.round);
+                                digest.word(e.total_samples_so_far);
+                            }
+                            r
+                        }
+                    };
+                    digest.result(&result);
+                }
+            }
+        }
+    }
+    let got: Vec<(&str, u64)> = variants
+        .iter()
+        .zip(&digests)
+        .map(|(&v, d)| (v, d.0))
+        .collect();
+    let expected: [(&str, u64); 8] = [
+        ("ifocus", 0xca335a2541e4e81f),
+        ("values", 0x6b5f7878a123216f),
+        ("mistakes", 0x835ae91fde441a1c),
+        ("topt_largest", 0xee152d488b0a35f3),
+        ("topt_smallest", 0xc605bf5c9bc4abce),
+        ("graph_path", 0x167ce0c40ec1858c),
+        ("graph_grid", 0x017ba4e170d84467),
+        ("partial", 0x5064a55b5ff48258),
+    ];
+    assert_eq!(got, expected, "golden digests changed: {got:#x?}");
+}
