@@ -1,6 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! κ, sampling mode, reactivation policy, and the heuristic factor —
-//! measured as end-to-end IFOCUS cost on a fixed mixture workload.
+//! Ablation benches for IFOCUS's tunable design choices (documented on
+//! `rapidviz_core::AlgoConfig`): κ, sampling mode, reactivation policy,
+//! and the heuristic factor — measured as end-to-end IFOCUS cost on a
+//! fixed mixture workload.
 
 // criterion_group! expands to undocumented pub items.
 #![allow(missing_docs)]

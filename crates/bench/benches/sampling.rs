@@ -1,8 +1,7 @@
 //! Sampling-pipeline benchmark: single-draw loop vs batched `select_many`
-//! resolution vs (optionally) the parallel per-group round fan-out.
+//! resolution, and IFOCUS rounds at growing batch sizes.
 //!
-//! Run with `cargo bench --bench sampling` (use `--features parallel` to
-//! include the threaded round path). Beyond the usual console lines, the
+//! Run with `cargo bench --bench sampling`. Beyond the usual console lines, the
 //! run writes `BENCH_sampling.json` into the workspace root (override with
 //! `BENCH_SAMPLING_OUT`) so the perf trajectory is tracked in-repo.
 //!
@@ -21,9 +20,8 @@
 //!   per-draw cost shows up in the ratio no matter the hardware). The
 //!   fresh numbers are written to `BENCH_sampling.fresh.json` (override
 //!   with `BENCH_SAMPLING_OUT`) for artifact upload, never to the
-//!   committed baseline. Pairs with a side missing from either run (e.g.
-//!   the `parallel`-feature fan-out when the gate builds without it) are
-//!   skipped with a note; a missing baseline fails loudly.
+//!   committed baseline. A pair with a side missing from either run counts
+//!   as a regression, and a missing baseline fails loudly.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,10 +162,6 @@ const SPEEDUP_PAIRS: &[(&str, &str)] = &[
         "huge256m_without_replacement/batched_16384",
     ),
     ("ifocus/round_batch_1", "ifocus/round_batch_64"),
-    (
-        "ifocus_wide/round_batch_4096",
-        "ifocus_wide/round_batch_4096_parallel",
-    ),
 ];
 
 /// Faithful replica of the **seed** (pre-PR) sampling path, kept here as
@@ -645,25 +639,17 @@ fn main() {
                 .total_samples()
         };
         let total = run_once(AlgoConfig::new(100.0, 0.05));
-        // Threshold u64::MAX keeps even `parallel`-feature builds on the
-        // sequential path for these narrow rounds (4 groups x 64 draws is
-        // far below where thread spawn/join pays for itself).
         results.push(measure("ifocus/round_batch_1", total, mode, || {
-            black_box(run_once(
-                AlgoConfig::new(100.0, 0.05).with_parallel_threshold(u64::MAX),
-            ));
+            black_box(run_once(AlgoConfig::new(100.0, 0.05)));
         }));
         results.push(measure("ifocus/round_batch_64", total, mode, || {
             black_box(run_once(
-                AlgoConfig::new(100.0, 0.05)
-                    .with_samples_per_round(64)
-                    .with_parallel_threshold(u64::MAX),
+                AlgoConfig::new(100.0, 0.05).with_samples_per_round(64),
             ));
         }));
     }
 
-    // --- Wide rounds: enough per-round work (16 groups x 4096 draws) for
-    // the `parallel` feature's thread fan-out to amortize spawn cost. ---
+    // --- Wide rounds: 16 groups x 4096 draws per round. ---
     {
         let make_groups = || -> Vec<VecGroup> {
             let mut rng = StdRng::seed_from_u64(9);
@@ -697,19 +683,10 @@ fn main() {
                 .with_samples_per_round(4096)
                 .with_max_rounds(200)
         };
-        let total = run_once(base_cfg().with_parallel_threshold(u64::MAX));
+        let total = run_once(base_cfg());
         results.push(measure("ifocus_wide/round_batch_4096", total, mode, || {
-            black_box(run_once(base_cfg().with_parallel_threshold(u64::MAX)));
+            black_box(run_once(base_cfg()));
         }));
-        #[cfg(feature = "parallel")]
-        results.push(measure(
-            "ifocus_wide/round_batch_4096_parallel",
-            total,
-            mode,
-            || {
-                black_box(run_once(base_cfg().with_parallel_threshold(1)));
-            },
-        ));
     }
 
     report(&results, mode);
@@ -752,9 +729,8 @@ fn report(results: &[Measurement], mode: Mode) {
             "  \"unit\": \"draws per second\",\n",
             "  \"note\": \"seed_single_loop replicates the pre-batching implementation ",
             "(flat directory binary search, per-bit word scan, SipHash Fisher-Yates map). ",
-            "Measured on a {cpus}-cpu host; the parallel round fan-out cannot show gains ",
-            "below 2 cpus, and small-bitmap regimes are cache-resident here, which favors ",
-            "the per-draw baseline.\",\n",
+            "Measured on a {cpus}-cpu host; small-bitmap regimes are cache-resident here, ",
+            "which favors the per-draw baseline.\",\n",
             "  \"results\": {{\n",
         ),
         cpus = cpus

@@ -123,6 +123,9 @@ fn run_wire_fleet(handle: &ServerHandle) -> FleetRun {
                                     frames += 1;
                                     break;
                                 }
+                                // The admission-time resume token is not a
+                                // round frame.
+                                Some(rapidviz_serve::Frame::Parked { .. }) => {}
                                 Some(other) => panic!("unexpected frame {other:?}"),
                                 None => panic!("stream closed without terminal answer"),
                             }

@@ -2,9 +2,10 @@
 //!
 //! Every function prints the same rows/series the paper's artifact shows.
 //! Absolute wall-clock numbers go through the calibrated
-//! [`DiskModel`] cost model (see DESIGN.md §4 — we do not have the
-//! authors' hardware), so the *shape* — who wins, by what factor, where
-//! curves flatten — is the reproduction target, recorded in EXPERIMENTS.md.
+//! [`DiskModel`] cost model (we do not have the authors' hardware; the
+//! substitution is documented in the `rapidviz_needletail::io` module
+//! docs), so the *shape* — who wins, by what factor, where curves flatten —
+//! is the reproduction target.
 //!
 //! Scale notes: the paper repeats every data point over 100 generated
 //! datasets and sweeps sizes to 10^10 records. Virtual groups make the
@@ -374,7 +375,7 @@ pub fn fig5b(opts: &ExpOptions) {
     // terminates with a sliver of the data unread — and a 0.1-wide gap
     // flips easily. We keep γ = 0.1 and size the groups so exhaustion is
     // reachable (the paper's 10M-row run behaves identically in this
-    // regime; see EXPERIMENTS.md).
+    // regime).
     let gamma = 0.1;
     header(
         "fig5b",
@@ -401,7 +402,8 @@ pub fn fig5b(opts: &ExpOptions) {
             // Materialized groups: correctness is judged against the
             // *realized* population means, and exhaustion genuinely yields
             // them — the regime this figure probes. (Virtual groups would
-            // fake the exhaustion collapse; see DESIGN.md §4.)
+            // fake the exhaustion collapse; see the
+            // `rapidviz_datagen::virtual_group` module docs.)
             let mut data_rng = StdRng::seed_from_u64(opts.seed + 777 + u64::from(rep));
             let mut groups = spec.materialize(&mut data_rng);
             let truths: Vec<f64> = groups
@@ -741,7 +743,7 @@ pub fn table3(opts: &ExpOptions) {
 /// Extensions ablation (beyond the paper's figures): the §6 variants'
 /// sample costs on one common workload, as fractions of full IFOCUS.
 pub fn extensions(opts: &ExpOptions) {
-    use rapidviz_core::extensions::{IFocusBernstein, IFocusMistakes, IFocusTopT, IFocusTrends};
+    use rapidviz_core::extensions::{IFocusBernstein, IFocusGraph, IFocusMistakes, IFocusTopT};
     header(
         "extensions",
         "§6 variants vs full IFOCUS (truncnorm, k=12, shared dataset)",
@@ -778,7 +780,7 @@ pub fn extensions(opts: &ExpOptions) {
         let mut g = base_groups.clone();
         let mut rng = StdRng::seed_from_u64(run_seed);
         rows[1].1.push(
-            IFocusTrends::new(config.clone())
+            IFocusGraph::path(config.clone(), g.len())
                 .run(&mut g, &mut rng)
                 .total_samples() as f64,
         );

@@ -135,9 +135,9 @@ pub fn parse_results(json: &str) -> Vec<(String, f64)> {
 
 /// Gate mode: compare fresh same-host ratios for every configured pair
 /// against the committed baseline's ratios. Returns the number of
-/// regressions; a missing/empty baseline or an empty comparison set
-/// counts as one (a silently green gate that compares nothing protects
-/// nothing).
+/// regressions. A pair missing from the baseline or from the fresh run is
+/// one, and a missing/empty baseline or an empty comparison set counts as
+/// one (a silently green gate that compares nothing protects nothing).
 pub fn gate_against_baseline(results: &[Measurement], config: &GateConfig<'_>) -> usize {
     let baseline = match std::fs::read_to_string(&config.baseline_path) {
         Ok(s) => s,
@@ -173,15 +173,15 @@ pub fn gate_against_baseline(results: &[Measurement], config: &GateConfig<'_>) -
         let (Some(base_lo), Some(base_hi)) =
             (lookup(&baseline, base_name), lookup(&baseline, new_name))
         else {
-            println!("  SKIP {pair} (pair not in baseline)");
+            regressions += 1;
+            println!("  FAIL {pair}: pair not in baseline");
             continue;
         };
         let (Some(fresh_lo), Some(fresh_hi)) =
             (lookup(&fresh, base_name), lookup(&fresh, new_name))
         else {
-            // Feature-gated cases (e.g. the parallel fan-out) may be
-            // absent from a default-features gate build.
-            println!("  SKIP {pair} (not measured in this build)");
+            regressions += 1;
+            println!("  FAIL {pair}: pair not measured in this run");
             continue;
         };
         compared += 1;
@@ -217,6 +217,54 @@ mod tests {
             vec![("a/one".to_owned(), 100.0), ("a/two".to_owned(), 250.5)]
         );
         assert!(parse_results("{}").is_empty());
+    }
+
+    #[test]
+    fn pairs_missing_from_either_side_count_as_regressions() {
+        let path = std::env::temp_dir().join(format!(
+            "rapidviz-perfgate-{}-missing-pairs.json",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            concat!(
+                "{\n  \"results\": {\n",
+                "    \"a/one\": 100.0,\n    \"a/two\": 200.0,\n",
+                "    \"b/one\": 10.0,\n    \"b/two\": 20.0\n  }\n}\n"
+            ),
+        )
+        .expect("temp baseline writes");
+        let fresh = |name: &str, per_sec: f64| Measurement {
+            name: name.to_owned(),
+            per_sec,
+        };
+        let results = [
+            fresh("a/one", 100.0),
+            fresh("a/two", 200.0),
+            fresh("b/one", 10.0),
+        ];
+        let gate = |pairs| {
+            gate_against_baseline(
+                &results,
+                &GateConfig {
+                    baseline_path: path.display().to_string(),
+                    pairs,
+                    tolerance: 1.5,
+                },
+            )
+        };
+        assert_eq!(gate(&[("a/one", "a/two")]), 0, "a present pair passes");
+        assert_eq!(gate(&[("a/one", "a/missing")]), 1, "absent from baseline");
+        assert_eq!(gate(&[("b/one", "b/two")]), 1, "absent from the fresh run");
+        assert_eq!(
+            gate(&[
+                ("a/one", "a/two"),
+                ("a/one", "a/missing"),
+                ("b/one", "b/two")
+            ]),
+            2
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

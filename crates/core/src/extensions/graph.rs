@@ -1,16 +1,22 @@
-//! Choropleth / proximity-graph ordering (§6.1.1, second half).
+//! Trend-line, choropleth and proximity-graph ordering (§6.1.1, Problem 3).
 //!
-//! For a heat map the paper asks that "adjacent regions are correctly
-//! ordered with respect to each other (or, even ... regions that are close
-//! by)". [`IFocusGraph`] generalizes the trend-line variant from the path
-//! graph to an arbitrary symmetric adjacency relation: only pairs joined by
-//! an edge must order correctly, and a group deactivates when all its
-//! incident edges are resolved. The trend-line algorithm is exactly this
-//! with the path graph; a choropleth supplies its region-adjacency edges.
+//! For a trend-line over an ordinal x-axis only *neighboring* groups must
+//! be ordered correctly; for a heat map the paper asks that "adjacent
+//! regions are correctly ordered with respect to each other (or, even ...
+//! regions that are close by)". [`IFocusGraph`] takes any symmetric
+//! adjacency relation: only pairs joined by an edge must order correctly,
+//! and a group deactivates when all its incident edges are resolved. The
+//! trend-line variant is [`IFocusGraph::path`]; its sample complexity bound
+//! holds with `η_i` replaced by `η*_i = min(τ_{i−1,i}, τ_{i,i+1})` — never
+//! smaller than the all-pairs `η_i`, so trends are never harder and usually
+//! far cheaper. A choropleth supplies its region-adjacency edges
+//! ([`IFocusGraph::grid`] for a lattice).
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
+use crate::ifocus::{DeactivationRule, FocusStepper};
 use crate::result::RunResult;
+use crate::runner::OrderingAlgorithm;
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -30,7 +36,8 @@ impl IFocusGraph {
         Self { config, edges }
     }
 
-    /// Builds the path graph over `k` groups — the trend-line special case.
+    /// Builds the path graph over `k` groups in x-axis order — the
+    /// trend-line variant.
     #[must_use]
     pub fn path(config: AlgoConfig, k: usize) -> Self {
         let edges = (1..k).map(|i| (i - 1, i)).collect();
@@ -68,61 +75,72 @@ impl IFocusGraph {
     ///
     /// Panics if `groups` is empty or an edge references a missing group.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
+        self.execute(groups, rng)
+    }
+}
+
+/// The edge-set rule: an edge resolves (for good) once its endpoints'
+/// intervals are disjoint, and a group retires when none of its incident
+/// edges is still open.
+#[derive(Debug, Clone)]
+pub struct GraphRule {
+    edges: Vec<(usize, usize)>,
+    /// Per edge: resolved yet? Self-loops start resolved.
+    resolved: Vec<bool>,
+    /// Reusable per-round scratch: does group `i` have an open edge?
+    open: Vec<bool>,
+}
+
+impl DeactivationRule for GraphRule {
+    fn deactivate(&mut self, state: &mut FocusState, bootstrap: bool) {
+        if !bootstrap && (state.resolution_reached() || state.all_active_exhausted()) {
+            state.deactivate_all();
+            return;
+        }
+        let eps_now = state.epsilon();
+        for (e, &(a, b)) in self.edges.iter().enumerate() {
+            if !self.resolved[e]
+                && !state
+                    .interval(a, eps_now)
+                    .overlaps(&state.interval(b, eps_now))
+            {
+                self.resolved[e] = true;
+            }
+        }
+        self.open.clear();
+        self.open.resize(state.k(), false);
+        for (&(a, b), &done) in self.edges.iter().zip(&self.resolved) {
+            if !done {
+                self.open[a] = true;
+                self.open[b] = true;
+            }
+        }
+        for i in 0..state.k() {
+            if !self.open[i] {
+                state.deactivate(i, eps_now);
+            }
+        }
+    }
+}
+
+impl OrderingAlgorithm for IFocusGraph {
+    type Stepper = FocusStepper<GraphRule>;
+
+    fn name(&self) -> String {
+        "ifocus-graph".to_owned()
+    }
+
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> Self::Stepper {
         let k = groups.len();
         for &(a, b) in &self.edges {
             assert!(a < k && b < k, "edge ({a}, {b}) out of range for k={k}");
         }
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        let mut resolved: Vec<bool> = self.edges.iter().map(|&(a, b)| a == b).collect();
-        self.update(&mut state, &mut resolved);
-        state.record();
-
-        while state.any_active() {
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..k {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                self.update(&mut state, &mut resolved);
-            }
-            state.record();
-        }
-        state.finish()
-    }
-
-    /// Resolves separated edges, then retires groups with no open edge.
-    fn update(&self, state: &mut FocusState, resolved: &mut [bool]) {
-        let eps_now = state.epsilon();
-        for (e, &(a, b)) in self.edges.iter().enumerate() {
-            if !resolved[e] {
-                let ia = state.interval(a, eps_now);
-                let ib = state.interval(b, eps_now);
-                if !ia.overlaps(&ib) {
-                    resolved[e] = true;
-                }
-            }
-        }
-        let k = state.k();
-        let mut has_open_edge = vec![false; k];
-        for (e, &(a, b)) in self.edges.iter().enumerate() {
-            if !resolved[e] {
-                has_open_edge[a] = true;
-                has_open_edge[b] = true;
-            }
-        }
-        for i in 0..k {
-            if !has_open_edge[i] {
-                state.deactivate(i, eps_now);
-            }
-        }
+        let rule = GraphRule {
+            edges: self.edges.clone(),
+            resolved: self.edges.iter().map(|&(a, b)| a == b).collect(),
+            open: Vec::new(),
+        };
+        FocusStepper::start(&self.config, groups, rng, rule)
     }
 }
 
@@ -148,24 +166,6 @@ pub fn is_graph_correct(
         let de = estimates[a] - estimates[b];
         de != 0.0 && (de > 0.0) == (dt > 0.0)
     })
-}
-
-impl crate::runner::OrderingAlgorithm for IFocusGraph {
-    type Stepper = crate::runner::OneShotStepper;
-
-    fn name(&self) -> String {
-        "ifocus-graph".to_owned()
-    }
-
-    /// Eager algorithm: the whole run happens inside `start`, and the
-    /// returned one-shot stepper exposes only the final state.
-    fn start<G: crate::group::GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn rand::RngCore,
-    ) -> crate::runner::OneShotStepper {
-        crate::runner::OneShotStepper::completed(self.run(groups, rng))
-    }
 }
 
 #[cfg(test)]
@@ -221,6 +221,34 @@ mod tests {
             &truths,
             0.0
         ));
+    }
+
+    #[test]
+    fn single_group_path_is_trivial() {
+        let mut groups = vec![VecGroup::new("only", vec![5.0, 6.0])];
+        let algo = IFocusGraph::path(AlgoConfig::new(10.0, 0.05), 1);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(74);
+        let result = algo.run(&mut groups, &mut rng);
+        assert_eq!(result.total_samples(), 1);
+    }
+
+    #[test]
+    fn path_resolution_variant_terminates_fast() {
+        let means = [20.0, 21.0, 22.0, 23.0];
+        let mut groups = two_point_groups(&means, 500_000, 75);
+        let truths: Vec<f64> = groups.iter().map(|g| g.true_mean().unwrap()).collect();
+        let algo = IFocusGraph::path(AlgoConfig::new(100.0, 0.05).with_resolution(5.0), 4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(76);
+        let result = algo.run(&mut groups, &mut rng);
+        assert!(crate::ordering::is_trend_correct(
+            &result.estimates,
+            &truths,
+            5.0
+        ));
+        assert!(
+            result.total_samples() < 500_000,
+            "resolution keeps cost bounded"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
+use crate::ifocus::{DeactivationRule, FocusStepper};
 use crate::result::RunResult;
+use crate::runner::OrderingAlgorithm;
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -38,60 +40,50 @@ impl IFocusMistakes {
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        let k = state.k();
-        let total_pairs = (k * (k.saturating_sub(1)) / 2).max(1) as f64;
-        state.standard_deactivation();
-        state.record();
-
-        while state.any_active() {
-            // Certified pairs: every pair with at least one inactive
-            // endpoint. (When a group deactivates its interval is disjoint
-            // from all then-active intervals, and Lemma 1's argument shows
-            // its order relative to *every* other group is settled.) Only
-            // active–active pairs remain uncertain.
-            let active = state.active_count();
-            let certified = total_pairs - (active * active.saturating_sub(1) / 2) as f64;
-            if certified / total_pairs >= 1.0 - self.gamma {
-                state.deactivate_all();
-                break;
-            }
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..k {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                state.standard_deactivation();
-            }
-            state.record();
-        }
-        state.finish()
+        self.execute(groups, rng)
     }
 }
 
-impl crate::runner::OrderingAlgorithm for IFocusMistakes {
-    type Stepper = crate::runner::OneShotStepper;
+/// The γ pair budget: IFOCUS's own rounds, but the run stops once the
+/// certified share of group pairs reaches `1 − γ`.
+#[derive(Debug, Clone, Copy)]
+pub struct MistakesRule {
+    gamma: f64,
+}
+
+impl DeactivationRule for MistakesRule {
+    fn deactivate(&mut self, state: &mut FocusState, bootstrap: bool) {
+        if !bootstrap && (state.resolution_reached() || state.all_active_exhausted()) {
+            state.deactivate_all();
+        } else {
+            state.standard_deactivation();
+        }
+    }
+
+    /// Certified pairs: every pair with at least one inactive endpoint.
+    /// (When a group deactivates its interval is disjoint from all
+    /// then-active intervals, and Lemma 1's argument shows its order
+    /// relative to *every* other group is settled.) Only active–active
+    /// pairs remain uncertain.
+    fn satisfied(&self, state: &FocusState) -> bool {
+        let k = state.k();
+        let total_pairs = (k * (k.saturating_sub(1)) / 2).max(1) as f64;
+        let active = state.active_count();
+        let certified = total_pairs - (active * active.saturating_sub(1) / 2) as f64;
+        certified / total_pairs >= 1.0 - self.gamma
+    }
+}
+
+impl OrderingAlgorithm for IFocusMistakes {
+    type Stepper = FocusStepper<MistakesRule>;
 
     fn name(&self) -> String {
         "ifocus-mistakes".to_owned()
     }
 
-    /// Eager algorithm: the whole run happens inside `start`, and the
-    /// returned one-shot stepper exposes only the final state.
-    fn start<G: crate::group::GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn rand::RngCore,
-    ) -> crate::runner::OneShotStepper {
-        crate::runner::OneShotStepper::completed(self.run(groups, rng))
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> Self::Stepper {
+        let rule = MistakesRule { gamma: self.gamma };
+        FocusStepper::start(&self.config, groups, rng, rule)
     }
 }
 

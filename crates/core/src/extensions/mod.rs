@@ -1,7 +1,7 @@
 //! Every algorithm variant of §6.
 //!
-//! * [`trends`] — Problem 3: trend-lines and choropleths need only
-//!   *adjacent* groups ordered correctly.
+//! * [`graph`] — Problem 3: trend-lines ([`IFocusGraph::path`]) and
+//!   choropleths need only *adjacent* groups ordered correctly.
 //! * [`topt`] — Problem 4: certify and order only the top-`t` groups.
 //! * [`mistakes`] — Problem 5: stop early once the ordering of all but an
 //!   allowed fraction of pairs is certified.
@@ -13,6 +13,12 @@
 //! * [`multi`] — §6.3.5: two aggregates visualized simultaneously
 //!   (Problem 8).
 //! * [`noindex`] — §6.3.6: no index on the group-by attribute (Problem 9).
+//! * [`adaptive`] — beyond the paper: an empirical-Bernstein ε schedule.
+//!
+//! Trends, top-t, mistakes and values are Algorithm 1 with a different
+//! [`crate::ifocus::DeactivationRule`], run by the one IFOCUS round loop
+//! ([`crate::ifocus::FocusStepper`]); partial results diff that loop's
+//! active mask after every round.
 //!
 //! Selection predicates (§6.3.3) and multiple group-bys (§6.3.4) change
 //! *which rows are eligible*, not the algorithm, and are provided by the
@@ -28,19 +34,17 @@ pub mod noindex;
 pub mod partial;
 pub mod sum;
 pub mod topt;
-pub mod trends;
 pub mod values;
 
 pub use adaptive::IFocusBernstein;
-pub use graph::{is_graph_correct, IFocusGraph};
-pub use mistakes::IFocusMistakes;
+pub use graph::{is_graph_correct, GraphRule, IFocusGraph};
+pub use mistakes::{IFocusMistakes, MistakesRule};
 pub use multi::{IFocusMultiAggregate, MultiAggregateResult, PairGroupSource, VecPairGroup};
 pub use noindex::{NoIndexSampler, StreamSource, VecStream};
-pub use partial::{IFocusPartial, IFocusPartialStepper, PartialEmission};
+pub use partial::{IFocusPartial, PartialEmission};
 pub use sum::{
     count_config, ifocus_count, CountSource, IFocusSum1, IFocusSum1Stepper, IFocusSum2,
     IFocusSum2Stepper, SizedGroupSource, VecSizedGroup,
 };
-pub use topt::{IFocusTopT, TopTDirection};
-pub use trends::IFocusTrends;
-pub use values::IFocusValues;
+pub use topt::{IFocusTopT, TopTDirection, TopTRule};
+pub use values::{IFocusValues, ValuesRule};

@@ -7,10 +7,10 @@
 //! point in time is correct (they were mutually disjoint when they froze).
 
 use crate::config::AlgoConfig;
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
+use crate::ifocus::IFocus;
 use crate::result::RunResult;
-use crate::runner::{Snapshot, StepOutcome};
-use crate::saved::{check_len, RestoreError, SavedPartial, SavedStepper};
+use crate::runner::AlgorithmStepper;
 use crate::state::FocusState;
 use rand::RngCore;
 
@@ -29,189 +29,44 @@ impl IFocusPartial {
         Self { config }
     }
 
-    /// Begins a resumable run: bootstrap sample, round-1 deactivation, and
-    /// the first emission flush (a group can certify instantly only under
-    /// degenerate inputs, but the flush keeps the stream exact). Drain the
-    /// stepper's pending emissions after `start` and after every `step`.
+    /// Runs IFOCUS over the groups, invoking `emit` for each group the
+    /// moment it deactivates. The final [`RunResult`] is identical to plain
+    /// IFOCUS's: this is the IFOCUS stepper, with the active mask diffed
+    /// after the bootstrap and after every round, in group-index order.
     ///
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusPartialStepper {
-        let state = FocusState::initialize(&self.config, groups, rng);
-        let emitted = vec![false; state.k()];
-        let mut stepper = IFocusPartialStepper {
-            state,
-            emitted,
-            pending: Vec::new(),
-        };
-        stepper.state.standard_deactivation();
-        stepper.flush();
-        stepper.state.record();
-        stepper
-    }
-
-    /// Runs over the groups, invoking `emit` for each group the moment it
-    /// deactivates. The final [`RunResult`] is identical to plain IFOCUS's.
-    ///
-    /// Rounds draw through the same batched pipeline as IFOCUS (one
-    /// `draw_batch` of [`AlgoConfig::samples_per_round`] per active group,
-    /// selected via the state's reusable scratch), so fixed-seed results
-    /// match the historical per-draw loop exactly at batch size 1. This is
-    /// a thin loop over [`IFocusPartial::start`] and
-    /// [`IFocusPartialStepper::step`], draining emissions per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
+    pub fn run<G: GroupSource>(
         &self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
         mut emit: impl FnMut(PartialEmission),
     ) -> RunResult {
-        let mut stepper = self.start(groups, rng);
-        for e in stepper.drain_emissions() {
-            emit(e);
+        let mut stepper = IFocus::new(self.config.clone()).start(groups, rng);
+        let mut emitted = vec![false; groups.len()];
+        flush(&stepper.state, &mut emitted, &mut emit);
+        while stepper.step(groups, rng).is_running() {
+            flush(&stepper.state, &mut emitted, &mut emit);
         }
-        loop {
-            let outcome = stepper.step(groups, rng);
-            for e in stepper.drain_emissions() {
-                emit(e);
-            }
-            if !outcome.is_running() {
-                break;
-            }
-        }
+        flush(&stepper.state, &mut emitted, &mut emit);
         stepper.finish()
     }
 }
 
-/// The streaming-IFOCUS state machine: identical rounds to
-/// [`crate::IFocus`]'s stepper, plus a pending-emission queue filled the
-/// moment groups deactivate. Mirrors [`crate::runner::AlgorithmStepper`]'s
-/// shape with an extra [`IFocusPartialStepper::drain_emissions`] hook.
-#[derive(Debug)]
-pub struct IFocusPartialStepper {
-    state: FocusState,
-    emitted: Vec<bool>,
-    pending: Vec<PartialEmission>,
-}
-
-impl IFocusPartialStepper {
-    /// Total samples drawn so far.
-    #[must_use]
-    pub fn total_samples(&self) -> u64 {
-        self.state.total_samples()
-    }
-
-    /// Advances one round; mirrors
-    /// [`crate::runner::AlgorithmStepper::step`]. Newly certified groups
-    /// land in the pending queue — drain it after each call.
-    pub fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        if !self.state.any_active() {
-            return StepOutcome::Converged;
-        }
-        if self.state.m >= self.state.config.max_rounds {
-            self.state.truncated = true;
-            // Truncated runs still flush whatever froze.
-            self.flush();
-            return StepOutcome::BudgetExhausted;
-        }
-        let batch = self.state.config.samples_per_round;
-        self.state.m += batch;
-        self.state.draw_round_selected(false, groups, rng, batch);
-        if self.state.resolution_reached() || self.state.all_active_exhausted() {
-            self.state.deactivate_all();
-        } else {
-            self.state.standard_deactivation();
-        }
-        self.flush();
-        self.state.record();
-        if self.state.any_active() {
-            StepOutcome::Running
-        } else {
-            StepOutcome::Converged
-        }
-    }
-
-    /// Removes and returns the emissions produced since the last drain, in
-    /// deactivation order.
-    pub fn drain_emissions(&mut self) -> Vec<PartialEmission> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// The current estimates, intervals, active set, and partial ordering.
-    #[must_use]
-    pub fn snapshot(&self) -> Snapshot {
-        self.state.snapshot()
-    }
-
-    /// Captures the mutable round-loop state — the shared focus core plus
-    /// the emission bookkeeping (including any queued-but-undrained
-    /// emissions, so a checkpoint taken mid-round loses nothing); mirrors
-    /// [`crate::runner::AlgorithmStepper::save`].
-    #[must_use]
-    pub fn save(&self) -> SavedStepper {
-        SavedStepper::Partial(SavedPartial {
-            core: self.state.save_core(),
-            emitted: self.emitted.clone(),
-            pending: self.pending.clone(),
-        })
-    }
-
-    /// Overwrites the mutable state from a checkpoint taken by
-    /// [`Self::save`] on an identically planned run; mirrors
-    /// [`crate::runner::AlgorithmStepper::restore`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured [`RestoreError`] (never panics) when the saved
-    /// kind or per-group shape does not match this stepper.
-    pub fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
-        let SavedStepper::Partial(s) = saved else {
-            return Err(RestoreError::WrongKind {
-                expected: "partial",
-                got: saved.kind(),
+/// Emits every group that deactivated since the last flush.
+fn flush(state: &FocusState, emitted: &mut [bool], emit: &mut impl FnMut(PartialEmission)) {
+    let total = state.total_samples();
+    for i in 0..state.k() {
+        if !state.active[i] && !emitted[i] {
+            emitted[i] = true;
+            emit(PartialEmission {
+                group: i,
+                label: state.labels[i].clone(),
+                estimate: state.estimates[i].mean(),
+                round: state.m,
+                total_samples_so_far: total,
             });
-        };
-        check_len(self.state.k(), &s.emitted)?;
-        self.state.restore_core(&s.core)?;
-        self.emitted.copy_from_slice(&s.emitted);
-        self.pending = s.pending.clone();
-        Ok(())
-    }
-
-    /// Consumes the stepper and packages the final result.
-    #[must_use]
-    pub fn finish(self) -> RunResult {
-        self.state.finish()
-    }
-
-    /// Queues an emission for every group that deactivated since the last
-    /// flush.
-    fn flush(&mut self) {
-        let state = &self.state;
-        let total: u64 = state.samples.iter().sum();
-        for i in 0..state.k() {
-            if !state.active[i] && !self.emitted[i] {
-                self.emitted[i] = true;
-                self.pending.push(PartialEmission {
-                    group: i,
-                    label: state.labels[i].clone(),
-                    estimate: state.estimates[i].mean(),
-                    round: state.m,
-                    total_samples_so_far: total,
-                });
-            }
         }
     }
 }
@@ -288,8 +143,7 @@ mod tests {
         }
     }
 
-    /// The pre-refactor emission flush, verbatim (the production flush now
-    /// lives on the stepper and queues instead of calling out).
+    /// The pre-refactor emission flush, verbatim.
     fn reference_flush(
         state: &FocusState,
         emitted: &mut [bool],
@@ -349,10 +203,7 @@ mod tests {
     #[test]
     fn batched_partial_matches_single_draw_reference() {
         // Byte-identical emissions and result vs the per-draw loop at the
-        // default batch size. Skipped under `parallel` (per-group streams).
-        if cfg!(feature = "parallel") {
-            return;
-        }
+        // default batch size.
         let means = [20.0, 46.0, 54.0, 85.0];
         let mut g1 = two_point_groups(&means, 50_000, 140);
         let mut g2 = g1.clone();

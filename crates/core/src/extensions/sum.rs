@@ -17,7 +17,7 @@
 //!   so the schedule uses `c = 1`), yielding normalized counts `s_i`.
 
 use crate::config::AlgoConfig;
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
 use crate::saved::{check_len, RestoreError, SavedStepper, SavedSum2};
@@ -66,7 +66,7 @@ impl IFocusSum1 {
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
-        while stepper.step_any(groups, rng).is_running() {}
+        while stepper.step(groups, rng).is_running() {}
         stepper.finish()
     }
 
@@ -106,14 +106,10 @@ impl IFocusSum1Stepper {
     pub fn total_samples(&self) -> u64 {
         self.state.total_samples()
     }
+}
 
-    /// [`AlgorithmStepper::step`] without the `MaybeSend` bound (this
-    /// per-draw loop never fans out across threads).
-    pub fn step_any<G: GroupSource>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+impl AlgorithmStepper for IFocusSum1Stepper {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         let state = &mut self.state;
         if !state.any_active() {
             return StepOutcome::Converged;
@@ -153,16 +149,6 @@ impl IFocusSum1Stepper {
         } else {
             StepOutcome::Converged
         }
-    }
-}
-
-impl AlgorithmStepper for IFocusSum1Stepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        self.step_any(groups, rng)
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -218,11 +204,7 @@ impl OrderingAlgorithm for IFocusSum1 {
         }
     }
 
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusSum1Stepper {
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusSum1Stepper {
         IFocusSum1::start(self, groups, rng)
     }
 }

@@ -11,10 +11,12 @@
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
+use crate::ifocus::{DeactivationRule, FocusStepper};
 use crate::result::RunResult;
+use crate::runner::OrderingAlgorithm;
 use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::{Interval, IntervalSet};
+use rapidviz_stats::Interval;
 
 /// Whether the analyst wants the largest or the smallest `t` groups
 /// (§6.1.2 supports both "top-t or bottom-t").
@@ -96,50 +98,40 @@ impl IFocusTopT {
     ///
     /// Panics if `groups` is empty or `t > k`.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        assert!(
-            self.t <= groups.len(),
-            "t = {} exceeds the number of groups {}",
-            self.t,
-            groups.len()
-        );
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        // Groups certified outside the top-t; they stop being comparison
-        // targets entirely.
-        let mut ruled_out = vec![false; state.k()];
-        self.update(&mut state, &mut ruled_out);
-        state.record();
-
-        while state.any_active() {
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..state.k() {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
-            if state.resolution_reached() || state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                self.update(&mut state, &mut ruled_out);
-            }
-            state.record();
-        }
-        state.finish()
+        self.execute(groups, rng)
     }
+}
 
-    /// Rules out groups certainly below the top-t, then applies the overlap
-    /// rule among the remaining contenders.
-    fn update(&self, state: &mut FocusState, ruled_out: &mut [bool]) {
+/// The top-`t` rule: a group is ruled out (deactivated) once at least `t`
+/// other intervals sit strictly on the winning side of its own; the
+/// remaining contenders follow the overlap fixpoint among themselves. A
+/// ruled-out group never reactivates, so the ruled-out set is part of the
+/// inactive mask and needs no bookkeeping of its own.
+#[derive(Debug, Clone)]
+pub struct TopTRule {
+    t: usize,
+    direction: TopTDirection,
+    /// Reusable per-round interval snapshot (taken before anyone is ruled
+    /// out this round).
+    intervals: Vec<Interval>,
+}
+
+impl DeactivationRule for TopTRule {
+    fn deactivate(&mut self, state: &mut FocusState, bootstrap: bool) {
+        if !bootstrap && (state.resolution_reached() || state.all_active_exhausted()) {
+            state.deactivate_all();
+            return;
+        }
         let eps_now = state.epsilon();
         let k = state.k();
-        let intervals: Vec<Interval> = (0..k).map(|i| state.interval(i, eps_now)).collect();
+        self.intervals.clear();
+        self.intervals
+            .extend((0..k).map(|i| state.interval(i, eps_now)));
+        let intervals = &self.intervals;
         // A group is certainly out when >= t intervals sit strictly on the
         // winning side of it (above for top-t, below for bottom-t).
         for i in 0..k {
-            if ruled_out[i] {
+            if !state.active[i] {
                 continue;
             }
             let strictly_better = (0..k)
@@ -152,55 +144,33 @@ impl IFocusTopT {
                 })
                 .count();
             if strictly_better >= self.t {
-                ruled_out[i] = true;
                 state.deactivate(i, eps_now);
             }
         }
-        // Contenders follow the overlap rule among (active) contenders.
-        loop {
-            let members: Vec<usize> = (0..k)
-                .filter(|&i| state.active[i] && !ruled_out[i])
-                .collect();
-            if members.is_empty() {
-                break;
-            }
-            let set = IntervalSet::new(
-                members
-                    .iter()
-                    .map(|&i| Interval::centered(state.estimates[i].mean(), eps_now))
-                    .collect(),
-            );
-            let to_remove: Vec<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !set.member_overlaps_others(pos))
-                .map(|(_, &i)| i)
-                .collect();
-            if to_remove.is_empty() {
-                break;
-            }
-            for i in to_remove {
-                state.deactivate(i, eps_now);
-            }
-        }
+        state.overlap_fixpoint(eps_now);
     }
 }
 
-impl crate::runner::OrderingAlgorithm for IFocusTopT {
-    type Stepper = crate::runner::OneShotStepper;
+impl OrderingAlgorithm for IFocusTopT {
+    type Stepper = FocusStepper<TopTRule>;
 
     fn name(&self) -> String {
         "ifocus-topt".to_owned()
     }
 
-    /// Eager algorithm: the whole run happens inside `start`, and the
-    /// returned one-shot stepper exposes only the final state.
-    fn start<G: crate::group::GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn rand::RngCore,
-    ) -> crate::runner::OneShotStepper {
-        crate::runner::OneShotStepper::completed(self.run(groups, rng))
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> Self::Stepper {
+        assert!(
+            self.t <= groups.len(),
+            "t = {} exceeds the number of groups {}",
+            self.t,
+            groups.len()
+        );
+        let rule = TopTRule {
+            t: self.t,
+            direction: self.direction,
+            intervals: Vec::new(),
+        };
+        FocusStepper::start(&self.config, groups, rng, rule)
     }
 }
 

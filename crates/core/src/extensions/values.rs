@@ -10,10 +10,11 @@
 
 use crate::config::AlgoConfig;
 use crate::group::GroupSource;
+use crate::ifocus::{DeactivationRule, FocusStepper};
 use crate::result::RunResult;
+use crate::runner::OrderingAlgorithm;
 use crate::state::FocusState;
 use rand::RngCore;
-use rapidviz_stats::{Interval, IntervalSet};
 
 /// IFOCUS with a per-group value-accuracy requirement `±d`.
 #[derive(Debug, Clone)]
@@ -40,80 +41,40 @@ impl IFocusValues {
     ///
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        self.update(&mut state);
-        state.record();
-
-        while state.any_active() {
-            if state.m >= self.config.max_rounds {
-                state.truncated = true;
-                break;
-            }
-            state.m += 1;
-            for i in 0..state.k() {
-                if state.active[i] && !state.exhausted[i] {
-                    state.draw(i, &mut groups[i], rng);
-                }
-            }
-            if state.all_active_exhausted() {
-                state.deactivate_all();
-            } else {
-                self.update(&mut state);
-            }
-            state.record();
-        }
-        state.finish()
+        self.execute(groups, rng)
     }
+}
 
-    /// Standard overlap deactivation gated on the value requirement:
-    /// while `ε ≥ d/2` nobody may deactivate.
-    fn update(&self, state: &mut FocusState) {
-        let eps_now = state.epsilon();
-        if eps_now >= self.d / 2.0 {
+/// The value-accuracy rule: standard overlap deactivation, gated on the
+/// value requirement (nobody deactivates while `ε ≥ d/2`). The resolution
+/// cut-off does not apply; only exhaustion ends the run outright.
+#[derive(Debug, Clone, Copy)]
+pub struct ValuesRule {
+    d: f64,
+}
+
+impl DeactivationRule for ValuesRule {
+    fn deactivate(&mut self, state: &mut FocusState, bootstrap: bool) {
+        if !bootstrap && state.all_active_exhausted() {
+            state.deactivate_all();
             return;
         }
-        loop {
-            let members: Vec<usize> = (0..state.k()).filter(|&i| state.active[i]).collect();
-            if members.is_empty() {
-                break;
-            }
-            let set = IntervalSet::new(
-                members
-                    .iter()
-                    .map(|&i| Interval::centered(state.estimates[i].mean(), eps_now))
-                    .collect(),
-            );
-            let to_remove: Vec<usize> = members
-                .iter()
-                .enumerate()
-                .filter(|&(pos, _)| !set.member_overlaps_others(pos))
-                .map(|(_, &i)| i)
-                .collect();
-            if to_remove.is_empty() {
-                break;
-            }
-            for i in to_remove {
-                state.deactivate(i, eps_now);
-            }
+        let eps_now = state.epsilon();
+        if eps_now < self.d / 2.0 {
+            state.overlap_fixpoint(eps_now);
         }
     }
 }
 
-impl crate::runner::OrderingAlgorithm for IFocusValues {
-    type Stepper = crate::runner::OneShotStepper;
+impl OrderingAlgorithm for IFocusValues {
+    type Stepper = FocusStepper<ValuesRule>;
 
     fn name(&self) -> String {
         "ifocus-values".to_owned()
     }
 
-    /// Eager algorithm: the whole run happens inside `start`, and the
-    /// returned one-shot stepper exposes only the final state.
-    fn start<G: crate::group::GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn rand::RngCore,
-    ) -> crate::runner::OneShotStepper {
-        crate::runner::OneShotStepper::completed(self.run(groups, rng))
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> Self::Stepper {
+        FocusStepper::start(&self.config, groups, rng, ValuesRule { d: self.d })
     }
 }
 

@@ -20,7 +20,7 @@
 //! optimal up to the `log log` term by the Theorem 3.8 lower bound.
 
 use crate::config::AlgoConfig;
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
 use crate::saved::{RestoreError, SavedStepper};
@@ -70,22 +70,8 @@ impl IFocus {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusStepper {
-        let mut state = FocusState::initialize(&self.config, groups, rng);
-        // Round-1 bookkeeping: check separation immediately (a dataset can
-        // already be resolved after one sample per group only when the
-        // resolution cut-off fires; ε at m = 1 is otherwise huge).
-        if state.resolution_reached() {
-            state.deactivate_all();
-        } else {
-            state.standard_deactivation();
-        }
-        state.record();
-        IFocusStepper { state }
+    pub fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
+        FocusStepper::start(&self.config, groups, rng, StandardRule)
     }
 
     /// Runs IFOCUS over the groups to completion — a thin loop over
@@ -94,40 +80,97 @@ impl IFocus {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RunResult {
-        let mut stepper = self.start(groups, rng);
-        while stepper.step(groups, rng).is_running() {}
-        stepper.finish()
+    pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
+        self.execute(groups, rng)
     }
 }
 
-/// The IFOCUS state machine: one [`AlgorithmStepper::step`] call per round
-/// (draw a batch from every active group, recompute ε, run the deactivation
-/// fixpoint).
-#[derive(Debug)]
-pub struct IFocusStepper {
-    state: FocusState,
+/// The post-round decision of an IFOCUS-family run: which groups leave the
+/// active set once a round's samples are in. The §6 variants are Algorithm 1
+/// with a different rule; they share [`FocusStepper`]'s round loop.
+pub trait DeactivationRule {
+    /// Whether a [`crate::saved::SavedFocusCore`] captures the whole run, so
+    /// the stepper supports [`AlgorithmStepper::save`] and `restore`.
+    const RESUMABLE: bool = false;
+
+    /// Deactivates groups after the bootstrap draw (`bootstrap`, round
+    /// `m = 1`) or after a completed round. The stepper records the round
+    /// afterwards.
+    fn deactivate(&mut self, state: &mut FocusState, bootstrap: bool);
+
+    /// Whether the run may stop although groups are still active, checked
+    /// after the round is recorded; a satisfied rule retires every group.
+    fn satisfied(&self, _state: &FocusState) -> bool {
+        false
+    }
 }
 
-impl IFocusStepper {
+/// Algorithm 1's own rule: a resolution cut-off or (after a round) the
+/// exhaustion of every active group retires all groups; otherwise the
+/// standard overlap fixpoint runs. After the bootstrap only the resolution
+/// cut-off can realistically fire (ε at `m = 1` is otherwise huge), but the
+/// separation check runs anyway.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StandardRule;
+
+impl DeactivationRule for StandardRule {
+    const RESUMABLE: bool = true;
+
+    fn deactivate(&mut self, state: &mut FocusState, bootstrap: bool) {
+        if state.resolution_reached() || (!bootstrap && state.all_active_exhausted()) {
+            state.deactivate_all();
+        } else {
+            state.standard_deactivation();
+        }
+    }
+}
+
+/// The IFOCUS round loop over a [`DeactivationRule`]: one
+/// [`AlgorithmStepper::step`] call per round (draw a batch from every
+/// active group, then let the rule retire groups and record the round).
+#[derive(Debug)]
+pub struct FocusStepper<R> {
+    pub(crate) state: FocusState,
+    rule: R,
+}
+
+/// The IFOCUS state machine ([`FocusStepper`] over [`StandardRule`]).
+pub type IFocusStepper = FocusStepper<StandardRule>;
+
+impl<R: DeactivationRule> FocusStepper<R> {
+    /// Draws the bootstrap sample and applies the rule's round-1 decision.
+    pub(crate) fn start<G: GroupSource>(
+        config: &AlgoConfig,
+        groups: &mut [G],
+        rng: &mut dyn RngCore,
+        rule: R,
+    ) -> Self {
+        let mut stepper = Self {
+            state: FocusState::initialize(config, groups, rng),
+            rule,
+        };
+        stepper.settle(true);
+        stepper
+    }
+
     /// Total samples drawn so far (cheaper than a full snapshot — used by
     /// session budget checks every round).
     #[must_use]
     pub fn total_samples(&self) -> u64 {
         self.state.total_samples()
     }
+
+    fn settle(&mut self, bootstrap: bool) {
+        self.rule.deactivate(&mut self.state, bootstrap);
+        self.state.record();
+        if self.rule.satisfied(&self.state) {
+            self.state.deactivate_all();
+        }
+    }
 }
 
-impl AlgorithmStepper for IFocusStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+impl<R: DeactivationRule> AlgorithmStepper for FocusStepper<R> {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         let state = &mut self.state;
         if !state.any_active() {
             return StepOutcome::Converged;
@@ -138,18 +181,9 @@ impl AlgorithmStepper for IFocusStepper {
         }
         let batch = state.config.samples_per_round;
         state.m += batch;
-        // One draw_batch call per active group (and, over threshold with
-        // the `parallel` feature, one worker-pool fan-out per round)
-        // instead of `batch` single draws; the selection index list is
-        // rebuilt in the state's reusable scratch buffer.
         state.draw_round_selected(false, groups, rng, batch);
-        if state.resolution_reached() || state.all_active_exhausted() {
-            state.deactivate_all();
-        } else {
-            state.standard_deactivation();
-        }
-        state.record();
-        if state.any_active() {
+        self.settle(false);
+        if self.state.any_active() {
             StepOutcome::Running
         } else {
             StepOutcome::Converged
@@ -165,11 +199,12 @@ impl AlgorithmStepper for IFocusStepper {
     }
 
     fn save(&self) -> Option<SavedStepper> {
-        Some(SavedStepper::Focus(self.state.save_core()))
+        R::RESUMABLE.then(|| SavedStepper::Focus(self.state.save_core()))
     }
 
     fn restore(&mut self, saved: &SavedStepper) -> Result<(), RestoreError> {
         match saved {
+            _ if !R::RESUMABLE => Err(RestoreError::Unsupported),
             SavedStepper::Focus(core) => self.state.restore_core(core),
             other => Err(RestoreError::WrongKind {
                 expected: "focus",
@@ -194,11 +229,7 @@ impl OrderingAlgorithm for IFocus {
         }
     }
 
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> IFocusStepper {
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> IFocusStepper {
         IFocus::start(self, groups, rng)
     }
 }
@@ -485,11 +516,7 @@ mod tests {
     fn batched_pipeline_matches_single_draw_reference() {
         // Byte-identical results vs the pre-batching per-draw loop, at batch
         // size 1 AND at larger batches (draw_batch replays the same RNG
-        // stream). Skipped under the `parallel` feature, whose fan-out
-        // intentionally re-seeds per group.
-        if cfg!(feature = "parallel") {
-            return;
-        }
+        // stream).
         for batch in [1u64, 16] {
             let mut g1 = two_point_groups(&[20.0, 45.0, 55.0, 80.0], 30_000, 90);
             let mut g2 = g1.clone();
@@ -506,31 +533,6 @@ mod tests {
             assert_eq!(result.rounds, reference.rounds, "batch {batch}");
             assert_eq!(result.truncated, reference.truncated, "batch {batch}");
         }
-    }
-
-    /// Under the parallel feature, a threshold-0 run must (a) produce a
-    /// correct ordering and (b) be bit-identical across repeated runs with
-    /// the same seed (thread scheduling must not leak into results).
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_rounds_deterministic_and_correct() {
-        let make = || two_point_groups(&[20.0, 45.0, 55.0, 80.0], 50_000, 95);
-        let truths = true_means(&make());
-        let config = AlgoConfig::new(100.0, 0.05)
-            .with_samples_per_round(32)
-            .with_parallel_threshold(1);
-        let run = |groups: &mut Vec<VecGroup>| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(96);
-            IFocus::new(config.clone()).run(groups, &mut rng)
-        };
-        let r1 = run(&mut make());
-        let r2 = run(&mut make());
-        assert_eq!(
-            r1.estimates, r2.estimates,
-            "parallel run must be deterministic"
-        );
-        assert_eq!(r1.samples_per_group, r2.samples_per_group);
-        assert!(is_correctly_ordered(&r1.estimates, &truths));
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //! The [`extensions`] module implements every variant the paper describes:
 //! trend-line / choropleth adjacency ordering, top-t, allowed mistakes,
 //! value accuracy, partial results, `SUM` (known and unknown group sizes),
-//! `COUNT`, multiple aggregates, and the no-index setting. Selection
+//! `COUNT`, multiple aggregates, and the no-index setting. The ordering
+//! variants share IFOCUS's round loop ([`ifocus::FocusStepper`]) and differ
+//! only in their [`ifocus::DeactivationRule`]. Selection
 //! predicates and multiple group-bys are handled in the storage layer
 //! (`rapidviz-needletail`) since they only change which rows are eligible.
 //!
@@ -41,10 +43,6 @@
 //! Table 1) and a sampled [`history::History`] of active-set size and
 //! estimate snapshots (reproducing Figures 5c and 6a).
 
-// `deny` rather than `forbid`: the persistent worker pool (`pool`, built
-// only under the `parallel` feature) contains one vetted lifetime-erasure
-// `unsafe` — the same scoped-task pattern rayon and crossbeam use — and
-// carries a module-local `allow` with its safety argument.
 // The algorithms walk several parallel per-group arrays (estimates, active
 // flags, samplers) by index; iterator zips would obscure the pseudocode
 // correspondence that this crate deliberately mirrors.
@@ -58,8 +56,6 @@ pub mod history;
 pub mod ifocus;
 pub mod irefine;
 pub mod ordering;
-#[cfg(feature = "parallel")]
-mod pool;
 pub mod result;
 pub mod roundrobin;
 pub mod runner;
@@ -73,7 +69,7 @@ pub use clock::{Clock, SimulatedClock, SystemClock};
 pub use config::{AlgoConfig, ReactivationPolicy};
 pub use group::GroupSource;
 pub use history::{History, HistoryPoint};
-pub use ifocus::{IFocus, IFocusStepper};
+pub use ifocus::{DeactivationRule, FocusStepper, IFocus, IFocusStepper, StandardRule};
 pub use irefine::{IRefine, IRefineStepper};
 pub use ordering::{
     count_incorrect_pairs, fraction_correct_pairs, is_correctly_ordered,
@@ -81,10 +77,8 @@ pub use ordering::{
 };
 pub use result::RunResult;
 pub use roundrobin::{RoundRobin, RoundRobinStepper};
-pub use runner::{AlgorithmStepper, OneShotStepper, OrderingAlgorithm, Snapshot, StepOutcome};
-pub use saved::{
-    RestoreError, SavedFocusCore, SavedIRefine, SavedPartial, SavedScan, SavedStepper, SavedSum2,
-};
+pub use runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
+pub use saved::{RestoreError, SavedFocusCore, SavedIRefine, SavedScan, SavedStepper, SavedSum2};
 pub use scan::{ExactScan, ScanStepper};
 pub use trace::{Trace, TraceRow};
 

@@ -12,7 +12,7 @@
 //! `Σ_i m_i` — the gap the paper's Figure 3a quantifies.
 
 use crate::config::AlgoConfig;
-use crate::group::{GroupSource, MaybeSend};
+use crate::group::GroupSource;
 use crate::result::RunResult;
 use crate::runner::{AlgorithmStepper, OrderingAlgorithm, Snapshot, StepOutcome};
 use crate::saved::{RestoreError, SavedStepper};
@@ -45,7 +45,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn start<G: GroupSource + MaybeSend>(
+    pub fn start<G: GroupSource>(
         &self,
         groups: &mut [G],
         rng: &mut dyn RngCore,
@@ -66,11 +66,7 @@ impl RoundRobin {
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn run<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RunResult {
+    pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
         while stepper.step(groups, rng).is_running() {}
         stepper.finish()
@@ -94,11 +90,7 @@ impl RoundRobinStepper {
 }
 
 impl AlgorithmStepper for RoundRobinStepper {
-    fn step<G: GroupSource + MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         let state = &mut self.state;
         if !state.any_active() {
             return StepOutcome::Converged;
@@ -110,8 +102,7 @@ impl AlgorithmStepper for RoundRobinStepper {
         let batch = state.config.samples_per_round;
         state.m += batch;
         // The defining difference from IFOCUS: sample *all* groups —
-        // one draw_batch call each (pooled over threshold with the
-        // `parallel` feature), selected through the reusable scratch.
+        // one draw_batch call each, selected through the reusable scratch.
         state.draw_round_selected(true, groups, rng, batch);
         if state.resolution_reached() || state.all_exhausted() {
             state.deactivate_all();
@@ -172,11 +163,7 @@ impl OrderingAlgorithm for RoundRobin {
         }
     }
 
-    fn start<G: GroupSource + MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> RoundRobinStepper {
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RoundRobinStepper {
         RoundRobin::start(self, groups, rng)
     }
 }

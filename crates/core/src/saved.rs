@@ -22,11 +22,8 @@
 //! and returns a structured [`RestoreError`] on mismatch — never panics —
 //! so corrupt or mismatched checkpoints surface as answerable errors.
 
-use crate::result::PartialEmission;
-
 /// The mutable round-loop state shared by the `FocusState`-backed steppers
-/// (IFOCUS, ROUNDROBIN, SUM with known sizes, and the partial-results
-/// variant).
+/// (IFOCUS, ROUNDROBIN, and SUM with known sizes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SavedFocusCore {
     /// Per-group running-mean parts `(count, mean)`.
@@ -95,21 +92,8 @@ pub struct SavedSum2 {
     pub truncated: bool,
 }
 
-/// The mutable state of the partial-results stepper: the shared focus core
-/// plus the emission bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavedPartial {
-    /// The shared focus-loop state.
-    pub core: SavedFocusCore,
-    /// Which groups have already been emitted downstream.
-    pub emitted: Vec<bool>,
-    /// Emissions queued but not yet drained at checkpoint time.
-    pub pending: Vec<PartialEmission>,
-}
-
 /// A kind-tagged bag of one stepper's mutable state, as captured by
-/// [`crate::AlgorithmStepper::save`] (or the inherent `save` on the
-/// extension steppers) and accepted back by `restore`.
+/// [`crate::AlgorithmStepper::save`] and accepted back by `restore`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SavedStepper {
     /// [`crate::IFocusStepper`].
@@ -124,8 +108,6 @@ pub enum SavedStepper {
     Scan(SavedScan),
     /// [`crate::extensions::IFocusSum2Stepper`].
     Sum2(SavedSum2),
-    /// [`crate::extensions::IFocusPartialStepper`].
-    Partial(SavedPartial),
 }
 
 impl SavedStepper {
@@ -140,7 +122,6 @@ impl SavedStepper {
             SavedStepper::IRefine(_) => "irefine",
             SavedStepper::Scan(_) => "scan",
             SavedStepper::Sum2(_) => "sum2",
-            SavedStepper::Partial(_) => "partial",
         }
     }
 }
@@ -150,8 +131,8 @@ impl SavedStepper {
 /// this as a structured error instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RestoreError {
-    /// The stepper does not support save/restore (the eager
-    /// [`crate::OneShotStepper`] wrapper).
+    /// The stepper does not support save/restore (an IFOCUS stepper over a
+    /// §6 deactivation rule, whose rule state a checkpoint does not carry).
     Unsupported,
     /// The saved kind tag does not match the stepper being restored.
     WrongKind {

@@ -54,7 +54,7 @@ impl ExactScan {
     /// Panics if `groups` is empty.
     pub fn run<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> RunResult {
         let mut stepper = self.start(groups, rng);
-        while stepper.step_any(groups, rng).is_running() {}
+        while stepper.step(groups, rng).is_running() {}
         stepper.finish()
     }
 }
@@ -75,14 +75,10 @@ impl ScanStepper {
     pub fn total_samples(&self) -> u64 {
         self.samples.iter().sum()
     }
+}
 
-    /// [`AlgorithmStepper::step`] without the `MaybeSend` bound (SCAN never
-    /// fans out across threads).
-    pub fn step_any<G: GroupSource>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
+impl AlgorithmStepper for ScanStepper {
+    fn step<G: GroupSource>(&mut self, groups: &mut [G], rng: &mut dyn RngCore) -> StepOutcome {
         if self.next_group >= self.labels.len() {
             return StepOutcome::Converged;
         }
@@ -103,16 +99,6 @@ impl ScanStepper {
         } else {
             StepOutcome::Running
         }
-    }
-}
-
-impl AlgorithmStepper for ScanStepper {
-    fn step<G: GroupSource + crate::group::MaybeSend>(
-        &mut self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> StepOutcome {
-        self.step_any(groups, rng)
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -183,11 +169,7 @@ impl OrderingAlgorithm for ExactScan {
         "scan".to_owned()
     }
 
-    fn start<G: GroupSource + crate::group::MaybeSend>(
-        &self,
-        groups: &mut [G],
-        rng: &mut dyn RngCore,
-    ) -> ScanStepper {
+    fn start<G: GroupSource>(&self, groups: &mut [G], rng: &mut dyn RngCore) -> ScanStepper {
         ExactScan::start(self, groups, rng)
     }
 }

@@ -5,11 +5,18 @@
 //! — Theorem 3.6 — so the experiment harness does not need the records,
 //! only a stream of draws from each group's distribution and the virtual
 //! `n_i` for the without-replacement correction. [`VirtualGroup`] provides
-//! exactly that (substitution documented in DESIGN.md §4): draws are i.i.d.
-//! from the distribution, indistinguishable from without-replacement
-//! sampling at these scales (the algorithms never draw more than a
-//! vanishing fraction of a 10^9-element group, and the Serfling factor the
-//! schedule applies is conservative).
+//! exactly that substitution: draws are i.i.d. from the distribution,
+//! indistinguishable from without-replacement sampling at these scales (the
+//! algorithms never draw more than a vanishing fraction of a 10^9-element
+//! group, and the Serfling factor the schedule applies is conservative).
+//!
+//! What a virtual group cannot reproduce is exhaustion. Drawing all `n_i`
+//! records without replacement yields the exact group mean, and the
+//! schedule's half-width collapses to zero as `m → n_i`; i.i.d. draws never
+//! reach the exact mean, so near that point a virtual group's interval is
+//! narrower than its estimate's real error. Experiments that sample a
+//! sizable fraction of each group (small tables, near-ties) materialize
+//! their groups instead.
 
 use crate::dist::ValueDist;
 use rand::RngCore;

@@ -43,9 +43,9 @@
 //! # non-empty. A new `unsafe` anywhere fails the lint until a reviewer
 //! # budgets it here.
 //! [[unsafe]]
-//! file = "crates/core/src/pool.rs"
+//! file = "crates/example/src/ffi.rs"
 //! count = 1
-//! justification = "scoped-task lifetime erasure; see the SAFETY comment"
+//! justification = "FFI call into the C decoder; see the SAFETY comment"
 //! ```
 
 use std::collections::BTreeMap;

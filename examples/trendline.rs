@@ -7,7 +7,7 @@
 //! ```
 
 use rand::{Rng, SeedableRng};
-use rapidviz::core::extensions::IFocusTrends;
+use rapidviz::core::extensions::IFocusGraph;
 use rapidviz::core::{is_trend_correct, AlgoConfig, GroupSource, IFocus};
 use rapidviz::datagen::VecGroup;
 
@@ -39,7 +39,7 @@ fn main() {
     let truths: Vec<f64> = groups.iter().map(|g| g.true_mean().unwrap()).collect();
     let total: u64 = groups.iter().map(GroupSource::len).sum();
 
-    let algo = IFocusTrends::new(AlgoConfig::new(100.0, 0.05));
+    let algo = IFocusGraph::path(AlgoConfig::new(100.0, 0.05), groups.len());
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
     let result = algo.run(&mut groups, &mut rng);
 

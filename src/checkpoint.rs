@@ -63,9 +63,8 @@
 //! serving layer's parking registry under a TTL), so no cross-version
 //! migration is attempted.
 
-use rapidviz_core::extensions::PartialEmission;
 use rapidviz_core::saved::{
-    RestoreError, SavedFocusCore, SavedIRefine, SavedPartial, SavedScan, SavedStepper, SavedSum2,
+    RestoreError, SavedFocusCore, SavedIRefine, SavedScan, SavedStepper, SavedSum2,
 };
 use rapidviz_core::StepOutcome;
 use rapidviz_needletail::{EngineError, Predicate, Value};
@@ -661,7 +660,6 @@ const STEPPER_SUM1: u8 = 2;
 const STEPPER_IREFINE: u8 = 3;
 const STEPPER_SCAN: u8 = 4;
 const STEPPER_SUM2: u8 = 5;
-const STEPPER_PARTIAL: u8 = 6;
 
 fn encode_stepper(e: &mut Enc, s: &SavedStepper) {
     match s {
@@ -731,22 +729,6 @@ fn encode_stepper(e: &mut Enc, s: &SavedStepper) {
             }
             e.u64(s.m);
             e.flag(s.truncated);
-        }
-        SavedStepper::Partial(p) => {
-            e.u8(STEPPER_PARTIAL);
-            encode_focus_core(e, &p.core);
-            e.len_u32(p.emitted.len());
-            for &x in &p.emitted {
-                e.flag(x);
-            }
-            e.len_u32(p.pending.len());
-            for em in &p.pending {
-                e.u64(em.group as u64);
-                e.str(&em.label);
-                e.f64_bits(em.estimate);
-                e.u64(em.round);
-                e.u64(em.total_samples_so_far);
-            }
         }
     }
 }
@@ -836,32 +818,6 @@ fn decode_stepper(d: &mut Dec<'_>) -> Result<SavedStepper, CheckpointError> {
                 samples,
                 m: d.u64()?,
                 truncated: d.flag()?,
-            }))
-        }
-        STEPPER_PARTIAL => {
-            let core = decode_focus_core(d)?;
-            let ke = d.count(1)?;
-            let mut emitted = Vec::with_capacity(ke);
-            for _ in 0..ke {
-                emitted.push(d.flag()?);
-            }
-            let np = d.count(8)?;
-            let mut pending = Vec::with_capacity(np);
-            for _ in 0..np {
-                let group = d.u64()?;
-                pending.push(PartialEmission {
-                    group: usize::try_from(group)
-                        .map_err(|_| Dec::err(format!("pending group index {group} overflows")))?,
-                    label: d.str()?,
-                    estimate: d.f64_bits()?,
-                    round: d.u64()?,
-                    total_samples_so_far: d.u64()?,
-                });
-            }
-            Ok(SavedStepper::Partial(SavedPartial {
-                core,
-                emitted,
-                pending,
             }))
         }
         other => Err(Dec::err(format!("bad stepper tag {other}"))),
@@ -1020,13 +976,6 @@ impl SessionCheckpoint {
             SavedStepper::IRefine(s) => s.estimates.len() * 58,
             SavedStepper::Scan(s) => s.estimates.len() * 16,
             SavedStepper::Sum2(s) => s.estimates.len() * 42,
-            SavedStepper::Partial(p) => {
-                p.core.estimates.len() * 43
-                    + p.pending
-                        .iter()
-                        .map(|em| 36 + em.label.len())
-                        .sum::<usize>()
-            }
         };
         64 + spec_bytes + stepper_bytes + sampler_bytes + self.prev_active.len()
     }
@@ -1100,17 +1049,6 @@ mod tests {
                 samples: vec![5, 7],
                 m: 8,
                 truncated: false,
-            }),
-            SavedStepper::Partial(SavedPartial {
-                core: focus_core(),
-                emitted: vec![true, false, false],
-                pending: vec![PartialEmission {
-                    group: 1,
-                    label: "JB".into(),
-                    estimate: 2.5,
-                    round: 20,
-                    total_samples_so_far: 30,
-                }],
             }),
         ]
     }
@@ -1186,12 +1124,7 @@ mod tests {
     fn every_single_byte_flip_is_handled() {
         // Flipping any one byte must never panic; it may still decode (a
         // flipped estimate bit is valid data) but usually errors.
-        let bytes = checkpoint_with(SavedStepper::Partial(SavedPartial {
-            core: focus_core(),
-            emitted: vec![false, true, false],
-            pending: vec![],
-        }))
-        .to_bytes();
+        let bytes = checkpoint_with(SavedStepper::Focus(focus_core())).to_bytes();
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0xFF;

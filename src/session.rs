@@ -163,8 +163,8 @@ impl SessionEngine {
                 MeanStepper::IFocus(s) => s.step(groups.as_mut_slice(), rng),
                 MeanStepper::IRefine(s) => s.step(groups.as_mut_slice(), rng),
                 MeanStepper::RoundRobin(s) => s.step(groups.as_mut_slice(), rng),
-                MeanStepper::Scan(s) => s.step_any(groups.as_mut_slice(), rng),
-                MeanStepper::Sum1(s) => s.step_any(groups.as_mut_slice(), rng),
+                MeanStepper::Scan(s) => s.step(groups.as_mut_slice(), rng),
+                MeanStepper::Sum1(s) => s.step(groups.as_mut_slice(), rng),
             },
             SessionEngine::Sized { stepper, groups } => stepper.step(groups.as_mut_slice(), rng),
         }

@@ -3,8 +3,8 @@
 use rand::{Rng, SeedableRng};
 use rapidviz::core::extensions::sum::SizedGroupSource;
 use rapidviz::core::extensions::{
-    ifocus_count, IFocusMistakes, IFocusMultiAggregate, IFocusPartial, IFocusSum1, IFocusSum2,
-    IFocusTopT, IFocusTrends, IFocusValues, NoIndexSampler, VecPairGroup, VecSizedGroup, VecStream,
+    ifocus_count, IFocusGraph, IFocusMistakes, IFocusMultiAggregate, IFocusPartial, IFocusSum1,
+    IFocusSum2, IFocusTopT, IFocusValues, NoIndexSampler, VecPairGroup, VecSizedGroup, VecStream,
 };
 use rapidviz::core::{
     fraction_correct_pairs, is_top_t_correct, is_trend_correct, AlgoConfig, GroupSource,
@@ -34,7 +34,7 @@ fn trends_extension() {
     let means = [30.0, 55.0, 40.0, 70.0, 20.0, 65.0];
     let mut groups = two_point_groups(&means, 80_000, 1000);
     let t = truths(&groups);
-    let algo = IFocusTrends::new(AlgoConfig::new(100.0, 0.05));
+    let algo = IFocusGraph::path(AlgoConfig::new(100.0, 0.05), groups.len());
     let mut rng = rand::rngs::StdRng::seed_from_u64(1001);
     let result = algo.run(&mut groups, &mut rng);
     assert!(is_trend_correct(&result.estimates, &t, 0.0));

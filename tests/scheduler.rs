@@ -577,10 +577,8 @@ fn empty_scheduler_drains_immediately() {
 }
 
 /// Contention stress: many heterogeneous sessions with wide per-round
-/// batches (batch × groups clears the core's parallel threshold, so under
-/// `--features parallel` / `--all-features` every quantum fans out over
-/// the shared worker pool) — and the determinism invariant must still
-/// hold byte-for-byte. This is the CI threaded-stress entry point.
+/// batches interleaved by one scheduler — and the determinism invariant
+/// must still hold byte-for-byte. CI also runs it as a release build.
 #[test]
 fn stress_interleaving_under_worker_pool_contention() {
     let engines: Vec<NeedleTail> = (0..4).map(|i| near_tie_engine(4, 100 + i)).collect();
